@@ -1,7 +1,6 @@
 #include "core/dynamic_ensemble.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/threshold.h"
 #include "minhash/hash_kernel.h"
@@ -133,22 +132,8 @@ Status DynamicLshEnsemble::BatchQuery(std::span<const QuerySpec> specs,
   ctx->dynamic_specs_.resize(count);
   for (size_t i = 0; i < count; ++i) {
     const QuerySpec& spec = specs[i];
-    if (spec.query == nullptr || !spec.query->valid() ||
-        !spec.query->family()->SameAs(*family_)) {
-      return Status::InvalidArgument(
-          "query signature does not belong to the index's hash family");
-    }
-    if (spec.t_star < 0.0 || spec.t_star > 1.0) {
-      return Status::InvalidArgument("t_star must be in [0, 1]");
-    }
-    size_t q = spec.query_size;
-    if (q == 0) {
-      q = static_cast<size_t>(std::max<int64_t>(
-          1, std::llround(spec.query->EstimateCardinality())));
-    }
-    if (DeadlineExpired(spec.deadline_ns)) {
-      return Status::DeadlineExceeded("query deadline expired");
-    }
+    size_t q = 0;
+    LSHE_RETURN_IF_ERROR(ResolveQuerySpec(spec, *family_, &q));
     ctx->dynamic_q_[i] = static_cast<double>(q);
     // Re-stage with the deadline intact: the inner engine keeps checking
     // it between partition probes.
@@ -181,12 +166,8 @@ Status DynamicLshEnsemble::BatchQuery(std::span<const QuerySpec> specs,
     for (size_t i = 0; i < count; ++i) {
       outs[i].clear();
       if (stats != nullptr) {
+        stats[i].Reset();
         stats[i].query_size_used = static_cast<size_t>(ctx->dynamic_q_[i]);
-        stats[i].partitions_probed = 0;
-        stats[i].partitions_pruned = 0;
-        stats[i].slot0_cache_hits = 0;
-        stats[i].slot0_gallop_resumes = 0;
-        stats[i].tuned.clear();
       }
     }
   }

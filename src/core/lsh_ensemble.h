@@ -9,12 +9,12 @@
 // optimal (b, r) (Eq. 26), all partitions are probed, and the candidate
 // unions are returned.
 //
-// The query engine is batched: BatchQuery() answers many queries per call,
-// parallelizing *across queries* on the shared ThreadPool and reusing all
-// per-query scratch through a caller-owned QueryContext, so the steady
-// state performs no allocation. Single-query Query() is a thin wrapper
-// over the same engine (a batch of one falls back to parallelizing across
-// partitions, preserving single-query latency on multicore machines).
+// The query engine is batched: BatchQuery() answers many queries per call
+// through one partition-major chunk walk, spreading contiguous chunks of
+// queries across the shared ThreadPool and reusing all per-query scratch
+// through a caller-owned QueryContext, so the steady state performs no
+// allocation. Single-query Query() is a thin wrapper over the same engine:
+// a batch of one is a chunk of one.
 //
 // Typical use:
 //
@@ -41,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/cost_model.h"
@@ -99,14 +100,20 @@ struct LshEnsembleOptions {
   int filter_bits_per_key = 8;
   /// Build partition forests on the shared thread pool.
   bool parallel_build = true;
-  /// Parallelize queries on the shared thread pool: BatchQuery() spreads
-  /// queries over workers; a single-query call spreads its partitions.
+  /// Spread a BatchQuery()'s queries across the shared thread pool in
+  /// contiguous chunks. A batch of one runs on the calling thread.
   bool parallel_query = true;
 
   Status Validate() const;
 };
 
 /// \brief Per-query diagnostics (optional output of Query()/BatchQuery()).
+///
+/// Stats only record: passing them never changes which partitions are
+/// probed or which filters are consulted. A query the engine-wide probe
+/// filter rejects reports what every partition filter rejecting it would:
+/// size-pruned partitions as pruned, every other partition as probed and
+/// filter-skipped with its tuned (b, r).
 struct QueryStats {
   /// The query cardinality actually used (exact or MinHash-estimated).
   size_t query_size_used = 0;
@@ -133,6 +140,14 @@ struct QueryStats {
   /// Engine-level paths leave both 0.
   size_t shards_gathered = 0;
   size_t shards_skipped = 0;
+
+  /// Zeroes every field, keeping `tuned`'s capacity.
+  void Reset() {
+    std::vector<TunedParams> keep = std::move(tuned);
+    keep.clear();
+    *this = QueryStats{};
+    tuned = std::move(keep);
+  }
 };
 
 /// \brief One query of a BatchQuery() call. The referenced MinHash is
@@ -152,11 +167,19 @@ struct QuerySpec {
   uint64_t deadline_ns = 0;
 };
 
+/// \brief Validates `spec` against an index over `family` and resolves its
+/// effective cardinality (the exact size, else the MinHash estimate,
+/// at least 1) into `*q`. Every public query entry point calls this first.
+/// InvalidArgument for a null query, a signature from another family or
+/// t* outside [0, 1]; DeadlineExceeded when the deadline has passed.
+Status ResolveQuerySpec(const QuerySpec& spec, const HashFamily& family,
+                        size_t* q);
+
 class LshEnsemble;
 
-/// \brief Reusable query-path scratch: candidate dedup marks, tuned-params
-/// vectors, probe flags and per-partition buffers, pooled in per-worker
-/// shards so one context serves a whole BatchQuery() fan-out.
+/// \brief Reusable query-path scratch: probe scratch, per-chunk query
+/// cardinalities and filter keys, pooled in per-worker shards so one
+/// context serves a whole BatchQuery() fan-out.
 ///
 /// A context is bound to no particular ensemble — buffers grow to the
 /// largest index seen and are reused verbatim afterwards, so steady-state
@@ -182,8 +205,6 @@ class QueryContext {
   /// One worker's worth of scratch.
   struct Shard {
     LshForest::ProbeScratch probe;
-    std::vector<TunedParams> tuned;
-    std::vector<uint8_t> probed;
     /// Effective per-query cardinalities of the current chunk.
     std::vector<double> chunk_q;
     /// Pre-mixed probe-filter keys of the current chunk (one row of
@@ -192,15 +213,6 @@ class QueryContext {
     /// per chunk and reused across every partition.
     std::vector<uint64_t> filter_hashes;
     std::vector<uint8_t> filter_admit;
-    // Memo of the last tuning pass: consecutive queries against the same
-    // ensemble with the same effective (q, t*) reuse `tuned` wholesale,
-    // skipping the tuner's shared cache entirely. Keyed on the ensemble's
-    // process-unique instance id (a context outlives any one ensemble, and
-    // addresses can be reused).
-    uint64_t last_index_id = 0;
-    double last_q = -1.0;
-    double last_t_star = -1.0;
-    bool tuned_valid = false;
   };
 
   Shard* AcquireShard();
@@ -210,17 +222,14 @@ class QueryContext {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<Shard*> free_;
 
-  // Single-query partition-parallel path: per-partition candidate buffers
-  // (their capacity is retained across calls).
-  std::vector<std::vector<uint64_t>> partials_;
-  // Per-query (or per-partition) statuses of the current batch.
+  // Per-chunk statuses of the current batch's fan-out.
   std::vector<Status> statuses_;
   // DynamicLshEnsemble::BatchQuery scratch: the batch's effective query
   // cardinalities (resolved once per batch, reused across every delta
   // record), the specs re-staged with those resolved cardinalities (so
   // the inner engine skips re-estimating them), and per-query staging
   // buffers for the indexed candidates when tombstone filtering is
-  // active. Separate from partials_, which the inner call may use.
+  // active.
   std::vector<double> dynamic_q_;
   std::vector<QuerySpec> dynamic_specs_;
   std::vector<std::vector<uint64_t>> dynamic_outs_;
@@ -317,10 +326,10 @@ class LshEnsemble {
   ///
   /// `outs` (and `stats` if given) must point to arrays of at least
   /// specs.size() elements. With options().parallel_query the batch is
-  /// spread across the shared ThreadPool in chunks; a batch of one falls
-  /// back to parallelizing across partitions. All scratch comes from `ctx`,
-  /// so a warm context makes the whole call allocation-free apart from
-  /// output growth.
+  /// spread across the shared ThreadPool in contiguous chunks; a batch of
+  /// one is a single chunk on the calling thread. All scratch comes from
+  /// `ctx`, so a warm context makes the whole call allocation-free apart
+  /// from output growth.
   ///
   /// On error the first failing query's status is returned and the
   /// contents of `outs`/`stats` are unspecified.
@@ -368,28 +377,14 @@ class LshEnsemble {
   LshEnsemble(LshEnsembleOptions options,
               std::shared_ptr<const HashFamily> family);
 
-  /// Validates one spec against this index. Returns the effective query
-  /// cardinality through `q`.
-  Status ValidateSpec(const QuerySpec& spec, size_t* q) const;
-
-  /// Answers one query sequentially over all partitions using `shard`'s
-  /// scratch, appending candidates to `out` (cleared first).
-  Status QueryOne(const QuerySpec& spec, QueryContext::Shard* shard,
-                  std::vector<uint64_t>* out, QueryStats* stats) const;
-
-  /// Answers a contiguous run of queries partition-major (outer loop over
-  /// partitions, inner over queries) so each partition's key arenas stay
-  /// cache-hot across the whole run. Output identical to per-query
-  /// QueryOne() calls.
+  /// The query walk (Algorithm 1 for a contiguous run of queries):
+  /// partition-major (outer loop over partitions, inner over queries) so
+  /// each partition's key arenas stay cache-hot across the whole run. Per
+  /// query, partitions are visited in ascending order, so the output does
+  /// not depend on how a batch is chunked.
   Status QueryChunk(std::span<const QuerySpec> specs,
                     QueryContext::Shard* shard, std::vector<uint64_t>* outs,
                     QueryStats* stats) const;
-
-  /// The seed engine's shape: one query, partitions probed in parallel
-  /// into per-partition buffers, then concatenated.
-  Status QueryOnePartitionParallel(const QuerySpec& spec, QueryContext* ctx,
-                                   std::vector<uint64_t>* out,
-                                   QueryStats* stats) const;
 
   LshEnsembleOptions options_;
   std::shared_ptr<const HashFamily> family_;
@@ -402,10 +397,6 @@ class LshEnsemble {
   ProbeFilter engine_filter_;
   std::unique_ptr<Tuner> tuner_;
   size_t total_ = 0;
-  /// Process-unique identity (copied by moves; a moved-from ensemble is
-  /// left with no partitions, so its aliased id is inert). Keys the
-  /// QueryContext tuning memo across ensemble lifetimes.
-  uint64_t instance_id_;
 };
 
 }  // namespace lshensemble

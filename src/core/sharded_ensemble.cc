@@ -1,7 +1,6 @@
 #include "core/sharded_ensemble.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <string>
 
@@ -10,7 +9,6 @@
 #include "io/env.h"
 #include "io/file.h"
 #include "io/snapshot.h"
-#include "util/clock.h"
 #include "util/hashing.h"
 #include "util/thread_pool.h"
 
@@ -416,27 +414,14 @@ Status ShardedEnsemble::BatchQueryImpl(std::span<const QuerySpec> specs,
   const size_t count = specs.size();
   const size_t num_shards = shards_.size();
 
-  // Resolve every query's effective cardinality once, up front, so the S
-  // shard engines don't re-estimate it S times each.
+  // Validate every query and resolve its effective cardinality once, up
+  // front, so the S shard engines don't re-estimate it S times each. An
+  // already-expired deadline fails here, before any scatter: the caller
+  // gets DeadlineExceeded without a single shard probed, in
+  // partial-results mode too (nothing could be gathered anyway).
   std::vector<QuerySpec> resolved(specs.begin(), specs.end());
   for (QuerySpec& spec : resolved) {
-    if (spec.query == nullptr) {
-      return Status::InvalidArgument("query must not be null");
-    }
-    if (!spec.query->valid() || !spec.query->family()->SameAs(*family_)) {
-      return Status::InvalidArgument(
-          "query signature does not belong to the index's hash family");
-    }
-    if (spec.query_size == 0) {
-      spec.query_size = static_cast<size_t>(std::max<int64_t>(
-          1, std::llround(spec.query->EstimateCardinality())));
-    }
-    // Fast-fail an already-expired deadline before any scatter: the
-    // caller gets DeadlineExceeded without a single shard probed, in
-    // partial-results mode too (nothing could be gathered anyway).
-    if (DeadlineExpired(spec.deadline_ns)) {
-      return Status::DeadlineExceeded("query deadline expired");
-    }
+    LSHE_RETURN_IF_ERROR(ResolveQuerySpec(spec, *family_, &spec.query_size));
   }
 
   // Scatter: ONE wave over the shards. Each shard task takes its shard's
@@ -444,12 +429,12 @@ Status ShardedEnsemble::BatchQueryImpl(std::span<const QuerySpec> specs,
   // sequentially (the shard engines have pool parallelism off, so the
   // wave never nests a dispatch). Queries inside the shard are chunked by
   // the engine's partition-major QueryChunk walk. The scatter still
-  // VISITS every shard, but it rarely COSTS every shard: this call passes
-  // no stats, and with stats == nullptr each shard engine consults its
-  // union probe filter (filter/probe_filter.h) first and rejects a query
-  // none of its partitions can answer in O(trees) filter probes — so on a
-  // skewed corpus each query does forest work only in the shards that may
-  // hold its keys, and pruning needs no cross-shard routing state here.
+  // VISITS every shard, but it rarely COSTS every shard: each shard
+  // engine consults its union probe filter (filter/probe_filter.h) first
+  // and rejects a query none of its partitions can answer in O(trees)
+  // filter probes, with or without stats — so on a skewed corpus each
+  // query does forest work only in the shards that may hold its keys, and
+  // pruning needs no cross-shard routing state here.
   std::vector<Shard::Scratch*> scratch(num_shards, nullptr);
   std::vector<Status> statuses(num_shards);
   std::vector<std::vector<QueryStats>> shard_stats(
@@ -514,7 +499,7 @@ Status ShardedEnsemble::BatchQueryImpl(std::span<const QuerySpec> specs,
         // memo is per-shard state; a cross-shard merge has no meaning, so
         // it is left empty here.
         QueryStats& merged = stats[i];
-        merged = QueryStats{};
+        merged.Reset();
         for (size_t s = 0; s < num_shards; ++s) {
           if (!shard_gathered[s]) continue;
           merged.query_size_used = shard_stats[s][i].query_size_used;

@@ -37,9 +37,10 @@
 //    identical to the unsharded TopKSearcher.
 //
 // Per-shard scratch (QueryContext + gather staging) is pooled per shard,
-// never shared across shards: a context's tuning memo and flattened-delta
-// cache are keyed on one index's identity, so pinning scratch to its shard
-// keeps those caches hot across calls and descent rounds.
+// never shared across shards: a context's probe-range memos and
+// flattened-delta cache are keyed on one index's identity, so pinning
+// scratch to its shard keeps those caches hot across calls and descent
+// rounds.
 //
 // Threading contract: Insert/Remove/Flush are safe concurrently with
 // BatchQuery (per-shard locks); concurrent mutators are serialized per
@@ -186,8 +187,8 @@ class ShardedEnsemble {
   /// \brief BatchQuery with per-query statistics: `stats[i]` receives the
   /// shard-summed probe counters for query i plus the gather split
   /// (shards_gathered / shards_skipped — the latter nonzero only in
-  /// partial-results mode). Collecting stats disables the shards' probe
-  /// filter fast path, like the unsharded engine.
+  /// partial-results mode). Stats only record: the shards take the same
+  /// probe-filter fast paths with or without them.
   Status BatchQuery(std::span<const QuerySpec> specs,
                     std::vector<uint64_t>* outs, QueryStats* stats) const;
 
@@ -320,7 +321,7 @@ class ShardedEnsemble {
     /// Guards `engine` (shared for queries, exclusive for mutation).
     mutable std::shared_mutex mutex;
     /// Pooled per-call scratch, pinned to this shard so each context's
-    /// tuning memo / delta cache stays keyed to this shard's engine.
+    /// probe-range memos / delta cache stay keyed to this shard's engine.
     struct Scratch {
       QueryContext ctx;
       std::vector<std::vector<uint64_t>> outs;  // gather staging

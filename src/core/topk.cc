@@ -1,7 +1,6 @@
 #include "core/topk.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 
 #include "core/dynamic_ensemble.h"
@@ -162,17 +161,15 @@ Status TopKSearcher::BatchSearch(std::span<const TopKQuery> queries, size_t k,
     std::vector<TopKResult> scored;
   };
   std::vector<State> states(count);
+  const HashFamily& family = sharded_ != nullptr   ? *sharded_->family()
+                             : dynamic_ != nullptr ? *dynamic_->family()
+                                                   : *ensemble_->family();
   for (size_t i = 0; i < count; ++i) {
-    if (queries[i].query == nullptr || !queries[i].query->valid()) {
-      return Status::InvalidArgument("query must be a valid MinHash");
-    }
-    size_t q = queries[i].query_size;
-    if (q == 0) {
-      q = static_cast<size_t>(std::max<int64_t>(
-          1, std::llround(queries[i].query->EstimateCardinality())));
-    }
-    states[i].q = q;
-    states[i].qd = static_cast<double>(q);
+    const QuerySpec first_round{queries[i].query, queries[i].query_size,
+                                options_.initial_threshold,
+                                queries[i].deadline_ns};
+    LSHE_RETURN_IF_ERROR(ResolveQuerySpec(first_round, family, &states[i].q));
+    states[i].qd = static_cast<double>(states[i].q);
   }
 
   std::vector<QuerySpec> specs;

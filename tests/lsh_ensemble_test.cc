@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/dynamic_ensemble.h"
+#include "core/sharded_ensemble.h"
 #include "data/corpus.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
@@ -206,6 +213,127 @@ TEST(LshEnsembleTest, QueryValidation) {
   EXPECT_FALSE(ensemble->Query(foreign, 10, 0.5, &out).ok());
 }
 
+/// True when `ensemble`'s engine-wide probe filter rejects `query`: no tree
+/// key of the query can match slot 0 in any partition.
+bool EngineRejects(const LshEnsemble& ensemble, const MinHash& query) {
+  const ProbeFilter* filter = ensemble.engine_probe_filter();
+  if (filter == nullptr) return false;
+  const int depth = ensemble.options().tree_depth;
+  const int num_trees = ensemble.options().num_hashes / depth;
+  for (int t = 0; t < num_trees; ++t) {
+    const uint64_t key = ProbeFilter::ProbeKey(
+        static_cast<uint32_t>(t),
+        LshForest::TruncateHash(
+            query.values()[static_cast<size_t>(t) * depth]));
+    if (filter->MayContain(key)) return false;
+  }
+  return true;
+}
+
+/// Sketches of `count` cold queries: fresh values that occur in no corpus
+/// domain, so most of them miss every probe filter.
+std::vector<MinHash> ColdSketches(const Corpus& corpus,
+                                  std::shared_ptr<const HashFamily> family,
+                                  size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<MinHash> sketches;
+  for (size_t j = 0; j < count; ++j) {
+    auto cold = MakeQueryWithContainment(corpus.domain(j), 5 + j * 7, 0.0,
+                                         /*query_id=*/j, rng);
+    EXPECT_TRUE(cold.ok());
+    sketches.push_back(MinHash::FromValues(family, cold->values));
+  }
+  return sketches;
+}
+
+/// The same corpus served through every public query layer: the static
+/// engine, a pure-delta and a flushed DynamicLshEnsemble, and flushed
+/// ShardedEnsembles at S = 1 and 2, each driven through one BatchQuery
+/// signature.
+class QueryLayers {
+ public:
+  using BatchFn = std::function<Status(std::span<const QuerySpec>,
+                                       std::vector<uint64_t>*, QueryStats*)>;
+  struct Layer {
+    std::string name;
+    BatchFn batch;
+    /// Whether every domain sits in a built index (not the delta).
+    bool indexed;
+    /// The engine answering the indexed probes, when reachable.
+    const LshEnsemble* engine;
+  };
+
+  QueryLayers(const Corpus& corpus, std::shared_ptr<const HashFamily> family)
+      : ensemble_(BuildEnsemble(corpus, LshEnsembleOptions{}, family).value()),
+        delta_(DynamicLshEnsemble::Create(DeltaOptions(), family).value()),
+        flushed_(DynamicLshEnsemble::Create(DeltaOptions(), family).value()) {
+    for (const size_t num_shards : {size_t{1}, size_t{2}}) {
+      ShardedEnsembleOptions options;
+      options.base = DeltaOptions();
+      options.num_shards = num_shards;
+      sharded_.push_back(std::make_unique<ShardedEnsemble>(
+          ShardedEnsemble::Create(options, family).value()));
+    }
+    for (const Domain& domain : corpus.domains()) {
+      const MinHash sketch = MinHash::FromValues(family, domain.values);
+      EXPECT_TRUE(delta_.Insert(domain.id, domain.size(), sketch).ok());
+      EXPECT_TRUE(flushed_.Insert(domain.id, domain.size(), sketch).ok());
+      for (auto& sharded : sharded_) {
+        EXPECT_TRUE(sharded->Insert(domain.id, domain.size(), sketch).ok());
+      }
+    }
+    EXPECT_TRUE(flushed_.Flush().ok());
+    layers_.push_back({"LshEnsemble",
+                       [this](auto specs, auto* outs, auto* stats) {
+                         return ensemble_.BatchQuery(specs, &ctx_, outs,
+                                                     stats);
+                       },
+                       true, &ensemble_});
+    layers_.push_back({"DynamicLshEnsemble(delta)",
+                       [this](auto specs, auto* outs, auto* stats) {
+                         return delta_.BatchQuery(specs, &ctx_, outs, stats);
+                       },
+                       false, nullptr});
+    layers_.push_back({"DynamicLshEnsemble(flushed)",
+                       [this](auto specs, auto* outs, auto* stats) {
+                         return flushed_.BatchQuery(specs, &ctx_, outs,
+                                                    stats);
+                       },
+                       true, flushed_.indexed()});
+    for (auto& sharded : sharded_) {
+      EXPECT_TRUE(sharded->Flush().ok());
+      ShardedEnsemble* index = sharded.get();
+      layers_.push_back(
+          {"ShardedEnsemble(S=" + std::to_string(index->num_shards()) + ")",
+           [index](auto specs, auto* outs, auto* stats) {
+             return index->BatchQuery(specs, outs, stats);
+           },
+           true, nullptr});
+    }
+  }
+
+  const std::vector<Layer>& layers() const { return layers_; }
+
+ private:
+  static DynamicEnsembleOptions DeltaOptions() {
+    DynamicEnsembleOptions options;
+    options.min_delta_for_rebuild = 1 << 30;  // flushed explicitly
+    return options;
+  }
+
+  LshEnsemble ensemble_;
+  DynamicLshEnsemble delta_;
+  DynamicLshEnsemble flushed_;
+  std::vector<std::unique_ptr<ShardedEnsemble>> sharded_;
+  QueryContext ctx_;
+  std::vector<Layer> layers_;
+};
+
+// One query walk answers every batch shape: parallel_query on and off,
+// batches of 1/7/64, with and without stats, and through the dynamic and
+// sharded layers. Candidates must not depend on any of them, and stats
+// must only record — an engine-rejected (cold) query reports every
+// unpruned partition as probed and filter-skipped.
 TEST(LshEnsembleTest, ParallelAndSerialQueriesAgree) {
   const Corpus corpus = SmallCorpus(1500, 6);
   auto family = Family();
@@ -219,18 +347,111 @@ TEST(LshEnsembleTest, ParallelAndSerialQueriesAgree) {
   auto serial_index = BuildEnsemble(corpus, serial_options, family);
   ASSERT_TRUE(parallel_index.ok());
   ASSERT_TRUE(serial_index.ok());
+  ASSERT_EQ(parallel_index->partitions(), serial_index->partitions());
 
-  for (size_t i = 0; i < corpus.size(); i += 100) {
-    const Domain& domain = corpus.domain(i);
-    auto sketch = MinHash::FromValues(family, domain.values);
-    std::vector<uint64_t> parallel_out, serial_out;
-    ASSERT_TRUE(
-        parallel_index->Query(sketch, domain.size(), 0.5, &parallel_out).ok());
-    ASSERT_TRUE(
-        serial_index->Query(sketch, domain.size(), 0.5, &serial_out).ok());
-    std::sort(parallel_out.begin(), parallel_out.end());
-    std::sort(serial_out.begin(), serial_out.end());
-    EXPECT_EQ(parallel_out, serial_out) << "query " << i;
+  // Native queries (indexed domains) and cold ones.
+  const std::vector<MinHash> cold_sketches =
+      ColdSketches(corpus, family, 40, 61);
+  std::vector<QuerySpec> specs;
+  for (const MinHash& cold : cold_sketches) {
+    specs.push_back(QuerySpec{&cold, 0, specs.size() % 3 == 0 ? 0.8 : 0.5});
+  }
+  std::vector<MinHash> native;
+  native.reserve(corpus.size() / 50 + 1);  // specs point into it
+  for (size_t i = 0; i < corpus.size(); i += 50) {
+    native.push_back(MinHash::FromValues(family, corpus.domain(i).values));
+    specs.push_back(QuerySpec{&native.back(), corpus.domain(i).size(), 0.5});
+  }
+  ASSERT_GE(specs.size(), 64u);
+
+  size_t rejected = 0;
+  std::vector<std::vector<uint64_t>> expected(specs.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(serial_index
+                    ->Query(*specs[i].query, specs[i].query_size,
+                            specs[i].t_star, &expected[i])
+                    .ok());
+    if (EngineRejects(*serial_index, *specs[i].query)) {
+      ++rejected;
+      EXPECT_TRUE(expected[i].empty()) << "query " << i;
+    }
+  }
+  ASSERT_GT(rejected, 0u) << "no cold query exercises the engine reject";
+
+  // Stats only record: the accounting must cover every partition of the
+  // answering engine, and a query that engine rejects outright must read
+  // as if every partition filter had rejected it.
+  auto check_stats = [&](const LshEnsemble& engine, size_t i,
+                         const QueryStats& st) {
+    EXPECT_EQ(st.partitions_probed + st.partitions_pruned,
+              engine.partitions().size());
+    EXPECT_EQ(st.tuned.size(), st.partitions_probed);
+    EXPECT_LE(st.partitions_filter_skipped, st.partitions_probed);
+    if (!EngineRejects(engine, *specs[i].query)) return;
+    EXPECT_EQ(st.partitions_filter_skipped, st.partitions_probed)
+        << "query " << i;
+    EXPECT_EQ(st.slot0_cache_hits + st.slot0_gallop_resumes, 0u);
+    for (size_t p = 0; p < st.tuned.size(); ++p) {
+      // Pruning drops the smallest partitions, so probed ones follow.
+      auto tuned = engine.TuneForPartition(
+          st.partitions_pruned + p, static_cast<double>(st.query_size_used),
+          specs[i].t_star);
+      ASSERT_TRUE(tuned.ok());
+      EXPECT_EQ(st.tuned[p].b, tuned->b) << "query " << i;
+      EXPECT_EQ(st.tuned[p].r, tuned->r) << "query " << i;
+    }
+  };
+  auto sorted = [](std::vector<uint64_t> ids) {
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+
+  for (const LshEnsemble* index : {&*parallel_index, &*serial_index}) {
+    SCOPED_TRACE(index->options().parallel_query ? "parallel" : "serial");
+    for (const size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
+      SCOPED_TRACE("batch=" + std::to_string(batch));
+      QueryContext ctx;
+      std::vector<std::vector<uint64_t>> plain(specs.size());
+      std::vector<std::vector<uint64_t>> traced(specs.size());
+      std::vector<QueryStats> stats(specs.size());
+      for (size_t begin = 0; begin < specs.size(); begin += batch) {
+        const auto run = std::span<const QuerySpec>(specs).subspan(
+            begin, std::min(batch, specs.size() - begin));
+        ASSERT_TRUE(index->BatchQuery(run, &ctx, plain.data() + begin).ok());
+        ASSERT_TRUE(index
+                        ->BatchQuery(run, &ctx, traced.data() + begin,
+                                     stats.data() + begin)
+                        .ok());
+      }
+      for (size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(plain[i], traced[i]) << "query " << i;
+        EXPECT_EQ(sorted(plain[i]), sorted(expected[i])) << "query " << i;
+        if (specs[i].query_size != 0) {
+          EXPECT_EQ(stats[i].query_size_used, specs[i].query_size);
+        }
+        check_stats(*index, i, stats[i]);
+      }
+    }
+  }
+
+  // The same queries through the dynamic and sharded layers over the same
+  // corpus: stats change no layer's candidates, and every indexed layer
+  // agrees with the engine (the pure delta is an exact scan instead).
+  QueryLayers layers(corpus, family);
+  for (const QueryLayers::Layer& layer : layers.layers()) {
+    SCOPED_TRACE(layer.name);
+    std::vector<std::vector<uint64_t>> plain(specs.size());
+    std::vector<std::vector<uint64_t>> traced(specs.size());
+    std::vector<QueryStats> stats(specs.size());
+    ASSERT_TRUE(layer.batch(specs, plain.data(), nullptr).ok());
+    ASSERT_TRUE(layer.batch(specs, traced.data(), stats.data()).ok());
+    for (size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(plain[i], traced[i]) << "query " << i;
+      if (layer.indexed) {
+        EXPECT_EQ(sorted(plain[i]), sorted(expected[i])) << "query " << i;
+      }
+      if (layer.engine != nullptr) check_stats(*layer.engine, i, stats[i]);
+    }
   }
 }
 
@@ -585,7 +806,7 @@ TEST(LshEnsembleTest, BatchQueryMatchesSingleQueries) {
 }
 
 // A QueryContext is documented as bound to no particular ensemble: its
-// internal memos (tuning, probe ranges) must not leak answers from one
+// internal memos (probe ranges) must not leak answers from one
 // index into another — even for indexes with the same partition count
 // queried with identical (q, t*), and even when a dead index's heap
 // address is reused.
@@ -636,8 +857,8 @@ TEST(LshEnsembleTest, QueryContextReusableAcrossEnsembles) {
     EXPECT_EQ(shared_stats.tuned[p].r, fresh_stats.tuned[p].r) << "p=" << p;
   }
 
-  // Destroy-and-rebuild while the context lives: stale probe-range or
-  // tuning memos must not survive into the replacement index.
+  // Destroy-and-rebuild while the context lives: stale probe-range memos
+  // must not survive into the replacement index.
   auto replacement = BuildEnsemble(big_corpus, options, family);
   ASSERT_TRUE(replacement.ok());
   small_index = std::move(replacement);  // old small index destroyed
@@ -670,12 +891,90 @@ TEST(LshEnsembleTest, BatchQueryValidation) {
                    ->BatchQuery(std::span<const QuerySpec>(&spec, 1), &ctx,
                                 nullptr)
                    .ok());
-  // A bad spec inside a batch fails the call.
-  QuerySpec bad[2] = {spec, QuerySpec{nullptr, 10, 0.5}};
-  EXPECT_FALSE(ensemble->BatchQuery(bad, &ctx, outs.data()).ok());
-  QuerySpec bad_threshold[2] = {spec, QuerySpec{&sketch, 10, 1.5}};
-  EXPECT_FALSE(
-      ensemble->BatchQuery(bad_threshold, &ctx, outs.data()).ok());
+
+  // Every layer resolves specs through ResolveQuerySpec, so a bad spec
+  // anywhere in a batch fails each layer with the same status code.
+  const MinHash foreign =
+      MinHash::FromValues(Family(256, 321), corpus.domain(0).values);
+  const MinHash invalid;
+  struct BadSpec {
+    const char* what;
+    QuerySpec spec;
+    Status::Code code;
+  };
+  const BadSpec bad_specs[] = {
+      {"null query", {nullptr, 10, 0.5}, Status::Code::kInvalidArgument},
+      {"invalid sketch", {&invalid, 10, 0.5}, Status::Code::kInvalidArgument},
+      {"foreign family", {&foreign, 10, 0.5}, Status::Code::kInvalidArgument},
+      {"t* < 0", {&sketch, 10, -0.1}, Status::Code::kInvalidArgument},
+      {"t* > 1", {&sketch, 10, 1.5}, Status::Code::kInvalidArgument},
+      {"expired deadline",
+       {&sketch, 10, 0.5, /*deadline_ns=*/1},
+       Status::Code::kDeadlineExceeded},
+  };
+  QueryLayers layers(corpus, family);
+  for (const QueryLayers::Layer& layer : layers.layers()) {
+    SCOPED_TRACE(layer.name);
+    for (const BadSpec& bad : bad_specs) {
+      SCOPED_TRACE(bad.what);
+      const QuerySpec pair[2] = {spec, bad.spec};
+      const Status status = layer.batch(pair, outs.data(), nullptr);
+      EXPECT_EQ(status.code(), bad.code) << status.ToString();
+    }
+    // An empty sketch without an exact size resolves to |Q| = 1, never 0.
+    const MinHash empty =
+        MinHash::FromValues(family, std::vector<uint64_t>{});
+    const QuerySpec unsized{&empty, 0, 0.5};
+    QueryStats stats;
+    ASSERT_TRUE(layer
+                    .batch(std::span<const QuerySpec>(&unsized, 1),
+                           outs.data(), &stats)
+                    .ok());
+    EXPECT_EQ(stats.query_size_used, 1u);
+  }
+}
+
+// Every layer writes every QueryStats field it is handed: nothing a
+// previous query (or the caller) left in a reused struct survives.
+TEST(LshEnsembleTest, QueryStatsResetOnEveryLayer) {
+  const Corpus corpus = SmallCorpus(200, 27);
+  auto family = Family();
+  QueryLayers layers(corpus, family);
+  const MinHash sketch = MinHash::FromValues(family, corpus.domain(7).values);
+  const QuerySpec spec{&sketch, corpus.domain(7).size(), 0.5};
+
+  constexpr size_t kPoison = 987654;
+  const TunedParams poison_params{77, 77, 0.0, 0.0};
+  for (const QueryLayers::Layer& layer : layers.layers()) {
+    SCOPED_TRACE(layer.name);
+    QueryStats stats;
+    stats.query_size_used = kPoison;
+    stats.partitions_probed = kPoison;
+    stats.partitions_pruned = kPoison;
+    stats.partitions_filter_skipped = kPoison;
+    stats.tuned.assign(40, poison_params);
+    stats.slot0_cache_hits = kPoison;
+    stats.slot0_gallop_resumes = kPoison;
+    stats.shards_gathered = kPoison;
+    stats.shards_skipped = kPoison;
+    const size_t capacity = stats.tuned.capacity();
+    std::vector<uint64_t> out;
+    ASSERT_TRUE(
+        layer.batch(std::span<const QuerySpec>(&spec, 1), &out, &stats).ok());
+    EXPECT_NE(stats.query_size_used, kPoison);
+    EXPECT_NE(stats.partitions_probed, kPoison);
+    EXPECT_NE(stats.partitions_pruned, kPoison);
+    EXPECT_NE(stats.partitions_filter_skipped, kPoison);
+    EXPECT_NE(stats.slot0_cache_hits, kPoison);
+    EXPECT_NE(stats.slot0_gallop_resumes, kPoison);
+    EXPECT_NE(stats.shards_gathered, kPoison);
+    EXPECT_NE(stats.shards_skipped, kPoison);
+    EXPECT_LT(stats.tuned.size(), 40u);
+    for (const TunedParams& params : stats.tuned) {
+      EXPECT_NE(params.b, poison_params.b);
+    }
+    EXPECT_EQ(stats.tuned.capacity(), capacity) << "Reset frees scratch";
+  }
 }
 
 }  // namespace

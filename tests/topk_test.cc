@@ -310,6 +310,19 @@ TEST_F(TopKSearchTest, BatchSearchValidation) {
                   .BatchSearch(std::span<const TopKQuery>(&null_query, 1), 5,
                                &ctx, &out)
                   .IsInvalidArgument());
+  // Top-k queries resolve through the same ResolveQuerySpec as BatchQuery.
+  const MinHash foreign = MinHash::FromValues(
+      HashFamily::Create(kNumHashes, 77).value(), corpus_->domain(0).values);
+  const TopKQuery foreign_query{&foreign, 10};
+  EXPECT_TRUE(searcher
+                  .BatchSearch(std::span<const TopKQuery>(&foreign_query, 1),
+                               5, &ctx, &out)
+                  .IsInvalidArgument());
+  const TopKQuery expired{&sketch, 10, /*deadline_ns=*/1};
+  EXPECT_TRUE(searcher
+                  .BatchSearch(std::span<const TopKQuery>(&expired, 1), 5,
+                               &ctx, &out)
+                  .IsDeadlineExceeded());
   TopKSearcher unbound(nullptr, nullptr);
   EXPECT_TRUE(unbound.BatchSearch(one, 5, &ctx, &out).IsFailedPrecondition());
 }
